@@ -15,8 +15,9 @@ Pipeline::
                      abstract interpretation   (interp.py / domains.py)
                      findings + matrices       (rules.py)
 
-and a static-vs-dynamic differential harness (differential.py) keeps
-the two rule sets honest against each other.
+and the static-vs-dynamic differential harness (differential.py) keeps
+the two rule sets honest against each other; the cost, race and place
+families validate their predictions through the same harness.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@ counts directly from the extracted IR, without constructing a simulator:
   libomptarget MemoryManager buckets, counter key taxonomy);
 * :mod:`.walker` — the abstract cost interpreter over the structured IR;
 * :mod:`.rules` — the MC-W perf-lint rules and their config matrices;
-* :mod:`.differential` — static-vs-simulated validation (bit-exact HSA
-  and map-op counts, interval containment for bytes and pages).
+* :mod:`.differential` — static-vs-simulated validation through the
+  shared counter contract (bit-exact HSA and map-op counts, interval
+  containment for bytes and pages).
 """
 
-from .differential import CostDifferentialResult, cost_differential
+from .differential import cost_differential
 from .intervals import Interval
 from .model import (
     ALL_KEYS,
@@ -31,7 +32,6 @@ __all__ = [
     "Interval",
     "CostEnv",
     "CostPrediction",
-    "CostDifferentialResult",
     "ALL_KEYS",
     "BOUNDED_KEYS",
     "EXACT_KEYS",

@@ -1,36 +1,25 @@
-"""Static-cost-vs-simulation differential: MapCost's validation harness.
+"""Static-cost-vs-simulation differential: MapCost's validation.
 
-For every clean registry workload under every runtime configuration:
-
-* the *predicted* side runs the cost walker over the extracted IR with
-  ``ApuSystem.__init__`` poisoned (the prediction must be genuinely
-  static — reusing the guard from the MapFlow differential);
-* the *measured* side runs one noise-free simulation and harvests the
-  HSA trace, the run ledger and the KFD driver counters.
-
-The contract is two-tier (see :mod:`.model`): predicted HSA call counts
-by API name, map-op counts and kernel launches must be **bit-exact**
-singleton intervals equal to the measured telemetry; predicted copy
-bytes, prefaulted pages and first-touch fault pages must *contain* the
-measured value.  Any traced HSA API name the model does not know about
-is also a failure — new simulator emission can't silently drift past
-the predictor.
+For every clean registry workload under every runtime configuration,
+the cost walker's prediction (made with ``ApuSystem.__init__``
+poisoned) is checked against one noise-free simulation under the
+two-tier counter contract of :class:`~..differential.CounterCell`:
+HSA call counts, map-op counts and kernel launches bit-exact; copy
+bytes, prefaulted pages and first-touch fault pages inside the
+predicted intervals; no unknown traced HSA API name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ....core.config import ALL_CONFIGS, RuntimeConfig
 from ....core.params import CostModel
 from ....workloads.base import Fidelity
-from ..differential import _forbid_simulation
-from ..extract import extract_workload
-from .model import BOUNDED_KEYS, EXACT_KEYS, HSA_KEYS, CostEnv
-from .walker import CostPrediction, predict_costs
+from ..differential import CounterDifferentialResult, counter_differential, harvest
+from .walker import predict_costs
 
-__all__ = ["CostDifferentialResult", "cost_differential", "measure_costs"]
+__all__ = ["cost_differential", "measure_costs"]
 
 
 def measure_costs(workload, config: RuntimeConfig,
@@ -49,69 +38,10 @@ def measure_costs(workload, config: RuntimeConfig,
         n_threads=workload.n_threads,
         outputs=workload.outputs.values,
     )
-    ledger = result.ledger
-    measured = {name: system.hsa_trace.count(name) for name in HSA_KEYS}
-    for name in system.hsa_trace.names():
-        measured.setdefault(name, system.hsa_trace.count(name))
-    measured.update({
-        "map_enters": ledger.n_map_enters,
-        "map_exits": ledger.n_map_exits,
-        "kernels": ledger.n_kernels,
-        "h2d_bytes": ledger.h2d_bytes,
-        "d2h_bytes": ledger.d2h_bytes,
-        "shadow_bytes": ledger.shadow_bytes,
+    return harvest(system.hsa_trace, result.ledger, {
         "pages_prefaulted": system.driver.pages_prefaulted,
         "pages_faulted": system.driver.xnack_faults_serviced,
     })
-    return measured
-
-
-@dataclass
-class CostDifferentialResult:
-    """Predicted vs. measured counters for one (workload, config) cell."""
-
-    workload: str
-    config: RuntimeConfig
-    prediction: CostPrediction
-    measured: Dict[str, int] = field(default_factory=dict)
-    mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def check(self) -> "CostDifferentialResult":
-        for key in EXACT_KEYS:
-            iv = self.prediction.interval(key)
-            got = self.measured.get(key, 0)
-            if not iv.is_exact or iv.lo != got:
-                self.mismatches.append(
-                    f"{key}: predicted {iv}, measured {got} (exact contract)"
-                )
-        for key in BOUNDED_KEYS:
-            iv = self.prediction.interval(key)
-            got = self.measured.get(key, 0)
-            if not iv.contains(got):
-                self.mismatches.append(
-                    f"{key}: predicted {iv} does not contain measured {got}"
-                )
-        known = set(EXACT_KEYS) | set(BOUNDED_KEYS)
-        for key in sorted(set(self.measured) - known):
-            if self.measured[key]:
-                self.mismatches.append(
-                    f"simulation traced {key!r} ({self.measured[key]}x), "
-                    "which the cost model does not predict"
-                )
-        return self
-
-    def render(self) -> str:
-        head = (
-            f"{self.workload:<18} {self.config.value:<22} "
-            f"{'ok' if self.ok else 'FAIL'}"
-        )
-        if self.ok:
-            return head
-        return head + "".join(f"\n    {m}" for m in self.mismatches)
 
 
 def cost_differential(
@@ -120,32 +50,11 @@ def cost_differential(
     fidelity: Fidelity = Fidelity.TEST,
     configs: Sequence[RuntimeConfig] = ALL_CONFIGS,
     cost: Optional[CostModel] = None,
-) -> List[CostDifferentialResult]:
-    """Run the full predicted-vs-measured sweep.
-
-    The static phase (extraction + cost walk for every configuration)
-    runs with ``ApuSystem`` poisoned; only then does the measured phase
-    simulate each cell.
-    """
-    from ...registry import WORKLOADS, make_workload
-
-    names = list(names) if names is not None else sorted(WORKLOADS)
-    predictions: Dict[tuple, CostPrediction] = {}
-    with _forbid_simulation():
-        for name in names:
-            ir = extract_workload(make_workload(name, fidelity), name=name)
-            for config in configs:
-                predictions[(name, config)] = predict_costs(
-                    ir, CostEnv.for_config(config, cost)
-                )
-    results = []
-    for name in names:
-        for config in configs:
-            measured = measure_costs(make_workload(name, fidelity), config, cost)
-            results.append(CostDifferentialResult(
-                workload=name,
-                config=config,
-                prediction=predictions[(name, config)],
-                measured=measured,
-            ).check())
-    return results
+) -> CounterDifferentialResult:
+    """Run the predicted-vs-measured sweep, one cell per (workload, config)."""
+    return counter_differential(
+        "cost", names,
+        predict=lambda ir, env, _spec: [predict_costs(ir, env)],
+        measure=lambda w, config, _spec, cost: [measure_costs(w, config, cost)],
+        fidelity=fidelity, configs=configs, cost=cost,
+    )

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional
 from ...corpus import CORPUS, PERF_CORPUS
 from .engine import RemediationResult, remediate
 
-__all__ = ["EXPECTED_STATUS", "FixDifferentialResult", "fix_differential"]
+__all__ = ["DYNAMIC_GATE_ONLY", "EXPECTED_STATUS", "FixDifferentialResult", "fix_differential"]
 
 #: corpus short name -> expected remediation class (dynamic gate on)
 EXPECTED_STATUS: Dict[str, str] = {
@@ -64,11 +64,16 @@ EXPECTED_STATUS: Dict[str, str] = {
 }
 
 #: workloads that must receive *zero* proposed fixes (no speculative
-#: edits) — the satellite-2 pin plus the dynamic-gate rejection case
+#: edits), the dynamic-gate rejection case included
 ZERO_FIX_EXPECTED = frozenset({
     "underflow", "use-after-unmap", "cross-thread-host-write",
     "ambiguous-release", "escaped-buffer-leak", "global-indirection",
 })
+
+#: zero-fix pins only the dynamic gate enforces: their statically
+#: plausible fix is rejected by the instrumented re-run (see
+#: ``EXPECTED_STATUS``), so a static-only run may propose it
+DYNAMIC_GATE_ONLY = frozenset({"underflow"})
 
 
 @dataclass
@@ -103,10 +108,10 @@ class FixDifferentialResult:
                 f"{len(res.fixes):>6}  {res.dynamic or '-'}"
             )
         lines.append("-" * 78)
+        lines.extend(f"  {m}" for m in self.mismatches)
         if self.mismatches:
             lines.append(f"FIX DIFFERENTIAL FAILED "
-                         f"({len(self.mismatches)} mismatch(es)):")
-            lines.extend(f"  {m}" for m in self.mismatches)
+                         f"({len(self.mismatches)} mismatch(es))")
         else:
             n_fixes = sum(len(r.fixes) for r in self.results.values())
             lines.append(
@@ -141,8 +146,7 @@ def fix_differential(
             continue
         if not dynamic and expected in ("fixed", "partial", "unfixable"):
             # without the dynamic gate only the zero-fix pins stay exact
-            if name in ZERO_FIX_EXPECTED and name not in (
-                    "underflow",) and res.fixes:
+            if name in ZERO_FIX_EXPECTED - DYNAMIC_GATE_ONLY and res.fixes:
                 out.mismatches.append(
                     f"{name}: proposed {len(res.fixes)} fix(es) but must "
                     "refuse")

@@ -17,13 +17,7 @@ from .rules import (
     place_report,
 )
 from .walker import predict_card, predict_place
-from .differential import (
-    DEFAULT_POINTS,
-    PlaceCell,
-    PlaceDifferentialResult,
-    measure_place,
-    place_differential,
-)
+from .differential import DEFAULT_POINTS, measure_place, place_differential
 
 __all__ = [
     "PLACE_BOUNDED_KEYS",
@@ -39,8 +33,6 @@ __all__ = [
     "predict_place",
     "predict_card",
     "DEFAULT_POINTS",
-    "PlaceCell",
-    "PlaceDifferentialResult",
     "measure_place",
     "place_differential",
 ]

@@ -1,54 +1,42 @@
 """Static-race-vs-dynamic-detector differential: MapRace's validation.
 
-Two sides, in the established MapFlow/MapCost style:
+Two sides, through the shared harness of :mod:`..differential`:
 
 * **Recall** (faulty corpus): every finding the *dynamic* race detector
   (MC-R01/MC-R02) emits on :data:`repro.check.corpus.CORPUS` must be
-  matched by a static finding with the same family and buffer — the
-  MHP analysis sees, without simulating, every race the instrumented
-  trace exhibited.
+  matched by a static finding with the same family and buffer.  These
+  records are the race slice of the shared recall pass.
 * **Precision** (clean registry, per configuration): zero static race
-  findings on every clean bundled workload under each of the four
-  runtime configurations — one cell per ``(workload, config)`` pair,
-  where a cell fails if any race finding exists at all (and, belt and
-  braces, if any claims to break under that cell's configuration).
+  findings on every clean workload under each of the four runtime
+  configurations — one cell per ``(workload, config)`` pair, where a
+  cell fails if any race finding exists at all (and, belt and braces,
+  counts those that claim to break under that cell's configuration).
 
 The static phase of both sides runs with ``ApuSystem.__init__``
-poisoned (the guard shared with the MapFlow differential), so a single
-simulation event fails the harness loudly.
+poisoned, so a single simulation event fails the harness loudly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ....core.config import ALL_CONFIGS, RuntimeConfig
 from ....workloads.base import Fidelity
-from ...corpus import CORPUS
-from ...findings import Finding, RULES
-from ..differential import _forbid_simulation
-from ..rules import static_report
+from ...registry import make_workload
+from ..differential import (
+    DifferentialResult,
+    _forbid_simulation,
+    _names,
+    recall_pass,
+)
+from ..extract import ExtractionError, extract_workload
+from .rules import RACE_RULE_IDS, race_findings
 
 __all__ = ["RaceCell", "RaceDifferentialResult", "race_differential"]
 
 #: the dynamic race rules the recall side must answer statically
 _DYNAMIC_RACE_RULES = ("MC-R01", "MC-R02")
-
-
-@dataclass(frozen=True)
-class RaceMatch:
-    """One dynamic race finding and how the static side answered it."""
-
-    corpus_name: str
-    dynamic_rule: str
-    buffer: str
-    family: str
-    static_rule: Optional[str]
-
-    @property
-    def matched(self) -> bool:
-        return self.static_rule is not None
 
 
 @dataclass(frozen=True)
@@ -64,132 +52,61 @@ class RaceCell:
     def ok(self) -> bool:
         return self.findings == 0
 
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "workload": self.workload,
+            "config": self.config.value,
+            "findings": self.findings,
+            "breaking_here": self.breaking_here,
+            "ok": self.ok,
+        }
+
 
 @dataclass
-class RaceDifferentialResult:
-    records: List[RaceMatch] = field(default_factory=list)
-    cells: List[RaceCell] = field(default_factory=list)
-    #: workload name -> static extraction/analysis abort message
-    aborts: Dict[str, str] = field(default_factory=dict)
+class RaceDifferentialResult(DifferentialResult):
+    title = "static/dynamic race differential"
 
-    @property
-    def unmatched(self) -> List[RaceMatch]:
-        return [r for r in self.records if not r.matched]
+    cells: List[RaceCell] = field(default_factory=list)
 
     @property
     def false_positive_cells(self) -> List[RaceCell]:
         return [c for c in self.cells if not c.ok]
 
-    @property
-    def ok(self) -> bool:
-        return (not self.unmatched and not self.false_positive_cells
-                and not self.aborts)
-
-    def render(self) -> str:
-        lines = ["static/dynamic race differential", "-" * 60]
-        for r in self.records:
-            verdict = (f"matched by {r.static_rule}" if r.matched
-                       else "UNMATCHED")
-            lines.append(
-                f"  {r.corpus_name:<22} {r.dynamic_rule} "
-                f"{r.buffer!r:<14} ({r.family}) -> {verdict}"
-            )
-        bad = self.false_positive_cells
-        n_ok = sum(1 for c in self.cells if c.ok)
-        lines.append(
-            f"clean sweep: {n_ok}/{len(self.cells)} (workload, config) "
-            "cells race-free"
-        )
-        for c in bad:
+    def _precision_lines(self) -> List[str]:
+        n_ok = len(self.cells) - len(self.false_positive_cells)
+        lines = [f"clean sweep: {n_ok}/{len(self.cells)} (workload, config) "
+                 "cells race-free"]
+        for c in self.false_positive_cells:
             lines.append(
                 f"  FP {c.workload:<18} {c.config.value:<22} "
                 f"{c.findings} finding(s), {c.breaking_here} breaking here"
             )
-        if self.aborts:
-            lines.append("static analysis aborts:")
-            for name, msg in sorted(self.aborts.items()):
-                lines.append(f"  {name:<18} {msg}")
-        lines.append(
-            f"result: {'OK' if self.ok else 'FAIL'} "
-            f"({len(self.records)} dynamic race finding(s), "
-            f"{len(self.unmatched)} unmatched, "
-            f"{len(bad)} false-positive cell(s))"
-        )
-        return "\n".join(lines)
+        return lines
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "records": [{
-                "corpus": r.corpus_name,
-                "dynamic_rule": r.dynamic_rule,
-                "buffer": r.buffer,
-                "family": r.family,
-                "static_rule": r.static_rule,
-                "matched": r.matched,
-            } for r in self.records],
-            "cells": [{
-                "workload": c.workload,
-                "config": c.config.value,
-                "findings": c.findings,
-                "breaking_here": c.breaking_here,
-                "ok": c.ok,
-            } for c in self.cells],
-            "aborts": dict(self.aborts),
-        }
-
-
-def _family_of(rule_id: str) -> str:
-    return RULES[rule_id].family
-
-
-def _match(dynamic: Finding, static_findings: List[Finding]) -> Optional[str]:
-    family = _family_of(dynamic.rule_id)
-    for sf in static_findings:
-        if _family_of(sf.rule_id) == family and sf.buffer == dynamic.buffer:
-            return sf.rule_id
-    return None
+        out = super().to_dict()
+        out["cells"] = [c.to_dict() for c in self.cells]
+        return out
 
 
 def race_differential(
+    names: Optional[Sequence[str]] = None,
     *,
     corpus: bool = True,
     clean: bool = True,
     fidelity: Fidelity = Fidelity.TEST,
 ) -> RaceDifferentialResult:
-    """Run the two-sided race differential; see the module docstring."""
-    from .rules import RACE_RULE_IDS
-
+    """Run the two-sided race differential; the clean side sweeps
+    ``names`` (default: every registry workload), the recall side the
+    whole corpus."""
     result = RaceDifferentialResult()
-
     if corpus:
-        from ...runner import check_workload
-
-        for name, cls in CORPUS.items():
-            dynamic = check_workload(cls, cls.name, cross_check=False)
-            with _forbid_simulation():
-                static = static_report(cls(), cls.name)
-            if static.aborted:
-                result.aborts[cls.name] = static.aborted
-                continue
-            for f in dynamic.findings:
-                if f.rule_id not in _DYNAMIC_RACE_RULES:
-                    continue
-                result.records.append(RaceMatch(
-                    corpus_name=name,
-                    dynamic_rule=f.rule_id,
-                    buffer=f.buffer,
-                    family=_family_of(f.rule_id),
-                    static_rule=_match(f, static.findings),
-                ))
-
+        records, result.aborts = recall_pass()
+        result.records = [r for r in records
+                          if r.dynamic_rule in _DYNAMIC_RACE_RULES]
     if clean:
-        from ...registry import WORKLOADS, make_workload
-        from ..extract import ExtractionError, extract_workload
-        from .rules import race_findings
-
         with _forbid_simulation():
-            for name in sorted(WORKLOADS):
+            for name in _names(names):
                 try:
                     ir = extract_workload(
                         make_workload(name, fidelity), name=name
@@ -199,6 +116,8 @@ def race_differential(
                     continue
                 findings = [f for f in race_findings(ir)
                             if f.rule_id in RACE_RULE_IDS]
+                if findings:
+                    result.false_positives[name] = findings
                 for config in ALL_CONFIGS:
                     result.cells.append(RaceCell(
                         workload=name,
@@ -208,5 +127,4 @@ def race_differential(
                             1 for f in findings if config in f.breaks_under
                         ),
                     ))
-
     return result

@@ -228,6 +228,7 @@ def cmd_check(args) -> str:
     fidelity = Fidelity.TEST
     static = args.static
     dynamic = not args.no_sim
+    names = sorted(workload_names()) if target == "all" else [target]
     if target == "all":
         reports = check_all(
             fidelity, cross_check=not args.no_cross, progress=_progress,
@@ -248,7 +249,6 @@ def cmd_check(args) -> str:
         from .check.static.place import PlaceSpec, place_report
 
         spec = PlaceSpec.parse(args.topology, args.placement)
-        names = sorted(workload_names()) if target == "all" else [target]
         for name in names:
             rep = place_report(
                 make_workload(name, fidelity), name=name, spec=spec
@@ -275,50 +275,25 @@ def cmd_check(args) -> str:
         )
     if any(not r.ok for r in reports):
         args.exit_code = 1
-    if args.perf_json:
+    if args.perf_json or args.race_json or args.place_json:
         from .check.static.cost import cost_differential
-
-        names = sorted(workload_names()) if target == "all" else [target]
-        cells = cost_differential(names, fidelity=fidelity)
-        with open(args.perf_json, "w") as fh:
-            json.dump({
-                "ok": all(c.ok for c in cells),
-                "cells": [{
-                    "workload": c.workload,
-                    "config": c.config.value,
-                    "predicted": c.prediction.to_dict(),
-                    "measured": c.measured,
-                    "mismatches": c.mismatches,
-                } for c in cells],
-            }, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.perf_json}", file=sys.stderr)
-        if not all(c.ok for c in cells):
-            args.exit_code = 1
-    if args.race_json:
+        from .check.static.place import place_differential
         from .check.static.race import race_differential
 
-        result = race_differential(fidelity=fidelity)
-        with open(args.race_json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.race_json}", file=sys.stderr)
-        print(result.render(), file=sys.stderr)
-        if not result.ok:
-            args.exit_code = 1
-    if args.place_json:
-        from .check.static.place import place_differential
-
-        names = sorted(workload_names()) if target == "all" else [target]
-        result = place_differential(names, fidelity=fidelity)
-        with open(args.place_json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.place_json}", file=sys.stderr)
-        # the per-cell table is large; the summary line carries the verdict
-        print(result.render().splitlines()[-1], file=sys.stderr)
-        if not result.ok:
-            args.exit_code = 1
+        for path, differential in ((args.perf_json, cost_differential),
+                                   (args.race_json, race_differential),
+                                   (args.place_json, place_differential)):
+            if not path:
+                continue
+            result = differential(names, fidelity=fidelity)
+            with open(path, "w") as fh:
+                json.dump(result.to_dict(), fh, indent=2)
+                fh.write("\n")
+            print(f"wrote {path}", file=sys.stderr)
+            # the per-cell tables are large; the last line is the verdict
+            print(result.render().splitlines()[-1], file=sys.stderr)
+            if not result.ok:
+                args.exit_code = 1
     if args.sarif:
         from .check.sarif import write_sarif
 

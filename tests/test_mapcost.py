@@ -33,11 +33,9 @@ from repro.check.static.cost import (
     perf_report,
     predict_costs,
 )
-from repro.check.static.cost.differential import (
-    CostDifferentialResult,
-    measure_costs,
-)
+from repro.check.static.cost.differential import measure_costs
 from repro.check.static.differential import (
+    CounterCell,
     _forbid_simulation,
     _SimulationForbidden,
 )
@@ -71,7 +69,7 @@ _CONFIG_IDS = [c.value for c in ALL_CONFIGS]
 @functools.lru_cache(maxsize=1)
 def _sweep():
     """One full differential sweep, shared by all parametrized cells."""
-    return {(c.workload, c.config): c for c in cost_differential()}
+    return {(c.workload, c.config): c for c in cost_differential().cells}
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=_CONFIG_IDS)
@@ -229,7 +227,7 @@ def _cell(factory, config):
     ir = extract_workload(factory(), name=factory.name)
     pred = predict_costs(ir, CostEnv.for_config(config))
     measured = measure_costs(factory(), config)
-    return CostDifferentialResult(
+    return CounterCell(
         workload=factory.name, config=config,
         prediction=pred, measured=measured,
     ).check()

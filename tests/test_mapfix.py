@@ -12,6 +12,7 @@ import os
 import pytest
 
 import repro
+from repro.check.corpus import CORPUS
 from repro.check.sarif import to_sarif
 from repro.check.static.fix import (
     EXPECTED_STATUS,
@@ -19,10 +20,14 @@ from repro.check.static.fix import (
     SourceEdit,
     apply_edits,
     fix_differential,
+    remediate,
     sarif_replacements,
     write_patches,
 )
-from repro.check.static.fix.differential import ZERO_FIX_EXPECTED
+from repro.check.static.fix.differential import (
+    DYNAMIC_GATE_ONLY,
+    ZERO_FIX_EXPECTED,
+)
 from repro.check.static.fix.edits import EditError, line_map, rebase_edit
 from repro.core.config import ALL_CONFIGS
 
@@ -86,6 +91,12 @@ def test_underflow_fix_rejected_by_the_dynamic_gate(diff):
     assert res.rejected, "expected a dynamic-gate rejection"
     assert any("dynamic re-run regressed" in r for r in res.rejected)
     assert res.dynamic.startswith("rejected:")
+    # the static gate alone accepts the edit, which is why the
+    # static-only differential exempts this pin from its zero-fix check
+    assert DYNAMIC_GATE_ONLY == {"underflow"}
+    cls = CORPUS["underflow"]
+    static_only = remediate(cls, cls().name, dynamic=False)
+    assert static_only.fixes and not res.fixes
 
 
 def test_nowait_result_needs_two_rounds(diff):

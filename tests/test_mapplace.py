@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.check.registry import make_workload, workload_names
-from repro.check.static.cost import CostEnv
+from repro.check.static.cost import ALL_KEYS, CostEnv, cost_differential
 from repro.check.static.differential import _forbid_simulation
 from repro.check.static.extract import extract_workload
 from repro.check.static.place import (
@@ -241,15 +241,30 @@ def test_prediction_phase_is_pure_static():
 
 
 def test_place_differential_subset_is_green():
+    one_socket = PlaceSpec(n_sockets=1)
     result = place_differential(
-        ["triad", "first-touch", "global-broadcast", "qmcpack"]
+        ["triad", "first-touch", "global-broadcast", "qmcpack"],
+        points=DEFAULT_POINTS + (one_socket,),
     )
     assert result.false_positives == []
     bad = [c for c in result.cells if not c.ok]
     assert not bad, "\n".join(c.render() for c in bad)
-    # all four configs x all three default points per workload, with one
-    # cell per socket (2 + 2 + 4 sockets)
-    assert len(result.cells) == 4 * len(ALL_CONFIGS) * 8
+    # all four configs x the three default points and a 1-socket point
+    # per workload, with one cell per socket (2 + 2 + 4 + 1 sockets)
+    assert len(result.cells) == 4 * len(ALL_CONFIGS) * 9
+    # a 1-socket card cell predicts and measures what the MapCost cell
+    # does, so one counter contract serves both families
+    plain = {(c.workload, c.config): c
+             for c in cost_differential(["triad", "qmcpack"]).cells}
+    card = [c for c in result.cells
+            if c.spec == one_socket and (c.workload, c.config) in plain]
+    assert len(card) == len(plain)
+    for c in card:
+        p = plain[c.workload, c.config]
+        for key in ALL_KEYS:
+            assert c.prediction.interval(key) == p.prediction.interval(key)
+        assert {k: c.measured[k] for k in p.measured} == p.measured
+        assert set(c.measured) - set(p.measured) == set(PLACE_BOUNDED_KEYS)
     # the interleaved/pinned points actually exercised remote telemetry
     remote = [
         c for c in result.cells

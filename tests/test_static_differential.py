@@ -19,7 +19,11 @@ from repro.check.registry import (
     dynamic_counterparts,
     static_counterparts,
 )
-from repro.check.static import static_dynamic_differential, static_report
+from repro.check.static import (
+    race_differential,
+    static_dynamic_differential,
+    static_report,
+)
 from repro.check.static.differential import _forbid_simulation
 
 
@@ -39,6 +43,11 @@ def test_full_differential_passes():
     assert {r.static_rule for r in result.records} == {
         "MC-S10", "MC-S12", "MC-S11", "MC-P10", "MC-S21", "MC-S20"
     }
+    # MapRace's recall side is the race slice of the same recall pass
+    race = race_differential(clean=False).records
+    assert race == [r for r in result.records
+                    if r.dynamic_rule in ("MC-R01", "MC-R02")]
+    assert len(race) == 4
 
 
 def test_differential_clean_side_runs_zero_simulation():
