@@ -176,16 +176,6 @@ class CostPrediction:
 
         return all(self.interval(k).is_exact for k in EXACT_KEYS)
 
-    def to_dict(self) -> dict:
-        return {
-            "workload": self.name,
-            "config": self.config.value,
-            "counters": {
-                k: [v.lo, v.hi] for k, v in sorted(self.counters.items())
-            },
-            "notes": list(self.notes),
-        }
-
 
 class _Walker:
     def __init__(self, ir: WorkloadIR, env: CostEnv):

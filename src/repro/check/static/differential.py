@@ -227,7 +227,6 @@ class DifferentialResult:
 
 
 def static_dynamic_differential(
-    names: Optional[Sequence[str]] = None,
     *,
     corpus: bool = True,
     clean: bool = True,
@@ -239,7 +238,7 @@ def static_dynamic_differential(
         result.records, result.aborts = recall_pass()
     if clean:
         with _forbid_simulation():
-            for name in _names(names):
+            for name in sorted(WORKLOADS):
                 report = analyze_named(name, fidelity)
                 if report.aborted:
                     result.aborts[name] = report.aborted
@@ -254,9 +253,8 @@ def static_dynamic_differential(
 def harvest(trace, ledger, counters: Mapping[str, int]) -> Dict[str, int]:
     """Measured counters of one simulated run: HSA calls by API name from
     the trace, map ops/kernels/bytes from the ledger, and the driver and
-    placement page counters present in ``counters``."""
+    placement page counters the caller picked into ``counters``."""
     from .cost.model import HSA_KEYS
-    from .place.model import PLACE_BOUNDED_KEYS
 
     measured = {name: trace.count(name) for name in HSA_KEYS}
     for name in trace.names():
@@ -269,9 +267,7 @@ def harvest(trace, ledger, counters: Mapping[str, int]) -> Dict[str, int]:
         "d2h_bytes": ledger.d2h_bytes,
         "shadow_bytes": ledger.shadow_bytes,
     })
-    for key in ("pages_prefaulted", "pages_faulted") + PLACE_BOUNDED_KEYS:
-        if key in counters:
-            measured[key] = counters[key]
+    measured.update(counters)
     return measured
 
 

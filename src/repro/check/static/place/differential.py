@@ -24,7 +24,7 @@ from ....core.config import ALL_CONFIGS, RuntimeConfig
 from ....core.params import CostModel
 from ....workloads.base import Fidelity
 from ..differential import CounterDifferentialResult, counter_differential, harvest
-from .model import PlaceSpec
+from .model import PLACE_BOUNDED_KEYS, PlaceSpec
 from .rules import place_findings
 from .walker import predict_card
 
@@ -56,8 +56,9 @@ def measure_place(
         seed=0,
     )
     res = card.run_workload(workload, config)
+    keys = ("pages_prefaulted", "pages_faulted") + PLACE_BOUNDED_KEYS
     return [
-        harvest(trace, ledger, counters)
+        harvest(trace, ledger, {k: counters[k] for k in keys})
         for trace, ledger, counters in zip(
             res.per_socket_traces, res.per_socket_ledgers,
             res.per_socket_counters,
