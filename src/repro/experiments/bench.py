@@ -560,7 +560,13 @@ def _observable_state(pt, probe: AddressRange):
 
 def pagetable_parity(seed: int = 7, rounds: int = 300) -> bool:
     """Randomized differential test: apply one operation sequence to both
-    engines and compare every observable after each step."""
+    engines and compare every observable after each step.
+
+    Each step also checks the epoch stamp ``(install_count,
+    evict_count)`` that per-range memos (the card's kernel page split,
+    the macro engine's residency set) invalidate on: it must move
+    exactly when the table's contents do, so a zero-page install or an
+    evict over absent pages moves neither."""
     import random
 
     rnd = random.Random(seed)
@@ -571,8 +577,11 @@ def pagetable_parity(seed: int = 7, rounds: int = 300) -> bool:
     flat = FlatPageTable(ps, "flat")
     origins = list(MapOrigin)
     for _step in range(rounds):
+        before = _observable_state(runs, probe)
         op = rnd.random()
         start = rnd.randrange(span_pages) * ps
+        if runs.install_range(AddressRange(start, 0), [], MapOrigin.OS_TOUCH):
+            return False
         n = rnd.randrange(1, min(9, span_pages - start // ps + 1))
         rng = AddressRange(start, n * ps)
         origin = rnd.choice(origins)
@@ -607,7 +616,11 @@ def pagetable_parity(seed: int = 7, rounds: int = 300) -> bool:
             nb, fb = flat.evict_range_frames(rng)
             if (na, fa) != (nb, fb):
                 return False
-        if _observable_state(runs, probe) != _observable_state(flat, probe):
+        after = _observable_state(runs, probe)
+        if after != _observable_state(flat, probe):
+            return False
+        # the last two fields are the stamp, the rest the contents
+        if (after[-2:] != before[-2:]) != (after[:-2] != before[:-2]):
             return False
     return True
 

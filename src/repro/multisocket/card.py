@@ -26,9 +26,13 @@ from the :class:`~repro.multisocket.topology.Topology` link parameters
 The card keeps per-socket telemetry — remote fault pages, remote/local
 kernel page visits — that the static MapPlace analysis
 (:mod:`repro.check.static.place`) predicts and the place differential
-checks.  A 1-socket card under the default first-touch placement is
-bit-identical to a plain :class:`~repro.core.system.ApuSystem` run
-(pinned by ``tests/test_multisocket.py``).
+checks.  The kernel adjuster splits each mapped buffer range into
+local and remote pages once per CPU page-table epoch (memoized per
+range, invalidated when the table's ``(install_count, evict_count)``
+stamp moves), so a launch costs O(clauses), not O(pages).  A 1-socket
+card under the default first-touch placement is bit-identical to a
+plain :class:`~repro.core.system.ApuSystem` run (pinned by
+``tests/test_multisocket.py``).
 """
 
 from __future__ import annotations
@@ -155,10 +159,7 @@ class ApuCard:
             _SocketMemory(s, hbm, self.cost.page_size)
             for s in range(self.n_sockets)
         ]
-        # per-socket telemetry (the measured side of MapPlace)
-        self.remote_fault_pages = [0] * self.n_sockets
-        self.remote_kernel_pages = [0] * self.n_sockets
-        self.local_kernel_pages = [0] * self.n_sockets
+        self._reset_telemetry()
         self.sockets: List[SocketSystem] = []
         for s in range(self.n_sockets):
             physical = pools[s]
@@ -186,6 +187,12 @@ class ApuCard:
                 )
             )
         self._runtimes: List[OpenMPRuntime] = []
+
+    def _reset_telemetry(self) -> None:
+        """Zero the per-socket telemetry (the measured side of MapPlace)."""
+        self.remote_fault_pages = [0] * self.n_sockets
+        self.remote_kernel_pages = [0] * self.n_sockets
+        self.local_kernel_pages = [0] * self.n_sockets
         self._remote_samples: List[float] = []
 
     def _shootdown_all(self, rng: AddressRange) -> None:
@@ -210,17 +217,29 @@ class ApuCard:
         return adjust
 
     def _make_adjuster(self, socket: int) -> Callable:
+        pt = self.cpu_pt
+        #: (start, nbytes) -> (local, remote) translated pages, valid for
+        #: one page-table epoch: any install or evict moves the stamp
+        split: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        stamp = None
+
         def adjust(maps: Sequence[MapClause], compute_us: float) -> float:
+            nonlocal stamp
+            now = (pt.install_count, pt.evict_count)
+            if now != stamp:
+                split.clear()
+                stamp = now
             remote = local = 0
             for clause in maps:
-                for page in clause.buffer.range.pages(self.cost.page_size):
-                    pte = self.cpu_pt.lookup(page)
-                    if pte is None:
-                        continue
-                    if frame_owner(pte.frame) == socket:
-                        local += 1
-                    else:
-                        remote += 1
+                rng = clause.buffer.range
+                key = (rng.start, rng.nbytes)
+                hit = split.get(key)
+                if hit is None:
+                    frames = pt.frames_for(rng)
+                    n_local = sum(1 for f in frames if frame_owner(f) == socket)
+                    hit = split[key] = (n_local, len(frames) - n_local)
+                local += hit[0]
+                remote += hit[1]
             self.remote_kernel_pages[socket] += remote
             self.local_kernel_pages[socket] += local
             total = remote + local
@@ -238,6 +257,8 @@ class ApuCard:
         self._runtimes = [
             OpenMPRuntime(sock, config) for sock in self.sockets
         ]
+        # telemetry is per run, like the fresh runtimes' ledgers
+        self._reset_telemetry()
         for s, rt in enumerate(self._runtimes):
             rt.kernel_cost_adjuster = self._make_adjuster(s)
         return self._runtimes
@@ -289,6 +310,8 @@ class ApuCard:
                 raise ValueError(f"no socket {socket} on a {self.n_sockets}-socket card")
         env = self.env
         t0 = env.now
+        # the drivers outlive a run: report this run's share of their counters
+        base = [self._driver_counters(sock.driver) for sock in self.sockets]
         threads_per_socket: Dict[int, int] = {}
         for socket, _ in thread_plan:
             threads_per_socket[socket] = threads_per_socket.get(socket, 0) + 1
@@ -323,21 +346,31 @@ class ApuCard:
             per_socket_kernels=[rt.ledger.n_kernels for rt in self._runtimes],
             remote_page_fraction=(sum(samples) / len(samples)) if samples else 0.0,
             per_socket_ledgers=[rt.ledger for rt in self._runtimes],
-            per_socket_counters=self._counters(),
+            per_socket_counters=self._counters(base),
             sim_events=env.processed_events,
         )
 
-    def _counters(self) -> List[Dict[str, int]]:
+    @staticmethod
+    def _driver_counters(driver: Kfd) -> Dict[str, int]:
+        return {
+            "pages_prefaulted": driver.pages_prefaulted,
+            "pages_faulted": driver.xnack_faults_serviced,
+            "pages_bulk_mapped": driver.pages_bulk_mapped,
+        }
+
+    def _counters(self, base: List[Dict[str, int]]) -> List[Dict[str, int]]:
         out: List[Dict[str, int]] = []
         for s, sock in enumerate(self.sockets):
-            out.append({
-                "pages_prefaulted": sock.driver.pages_prefaulted,
-                "pages_faulted": sock.driver.xnack_faults_serviced,
-                "pages_bulk_mapped": sock.driver.pages_bulk_mapped,
+            counters = {
+                k: v - base[s][k]
+                for k, v in self._driver_counters(sock.driver).items()
+            }
+            counters.update({
                 "remote_fault_pages": self.remote_fault_pages[s],
                 "remote_kernel_pages": self.remote_kernel_pages[s],
                 "local_kernel_pages": self.local_kernel_pages[s],
                 "remote_kernel_bytes":
                     self.remote_kernel_pages[s] * self.cost.page_size,
             })
+            out.append(counters)
         return out

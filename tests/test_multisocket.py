@@ -344,3 +344,108 @@ def test_pinned_never_spills():
     with pytest.raises(OutOfMemoryError):
         view.alloc_frames(1)  # home full; pinned must not spill
     assert pools[0].frames_free == 4  # the other socket was never touched
+
+
+# ---------------------------------------------------------------------------
+# kernel page telemetry: per run, and per range equal to per page
+# ---------------------------------------------------------------------------
+
+
+def test_consecutive_runs_report_per_run_telemetry():
+    from repro.workloads import Fidelity, TriadStream
+
+    card = ApuCard(n_sockets=2, placement="interleave")
+    first, second = (
+        card.run_workload(TriadStream(fidelity=Fidelity.TEST),
+                          RuntimeConfig.IMPLICIT_ZERO_COPY)
+        for _ in range(2)
+    )
+    assert first.per_socket_kernels == second.per_socket_kernels
+    assert first.per_socket_counters[0]["remote_kernel_pages"] > 0
+    assert second.per_socket_counters == first.per_socket_counters
+    assert second.remote_page_fraction == first.remote_page_fraction
+
+
+def _recount_pages(card, maps, socket):
+    """Reference (local, remote) split: one CPU page-table lookup per
+    page of every clause."""
+    local = remote = 0
+    for clause in maps:
+        for page in clause.buffer.range.pages(card.cost.page_size):
+            pte = card.cpu_pt.lookup(page)
+            if pte is None:
+                continue
+            if frame_owner(pte.frame) == socket:
+                local += 1
+            else:
+                remote += 1
+    return local, remote
+
+
+class _RecountingCard(ApuCard):
+    """Checks every kernel's page accounting against the per-page recount."""
+
+    launches = 0
+
+    def _setup(self, config):
+        runtimes = super()._setup(config)
+        for s, rt in enumerate(runtimes):
+            rt.kernel_cost_adjuster = self._recounting(s, rt.kernel_cost_adjuster)
+        return runtimes
+
+    def _recounting(self, socket, adjust):
+        def checked(maps, compute_us):
+            local, remote = _recount_pages(self, maps, socket)
+            before = (self.local_kernel_pages[socket],
+                      self.remote_kernel_pages[socket])
+            out = adjust(maps, compute_us)
+            assert (self.local_kernel_pages[socket] - before[0],
+                    self.remote_kernel_pages[socket] - before[1]) == (local, remote)
+            self.launches += 1
+            return out
+
+        return checked
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.value)
+@pytest.mark.parametrize("n_sockets,placement",
+                         [(2, "interleave"), (4, "pinned:1")])
+@pytest.mark.parametrize("name", ["fault-storm", "alloc-churn"])
+def test_range_split_matches_per_page_recount(name, n_sockets, placement, config):
+    from repro.check.corpus import PERF_CORPUS
+    from repro.check.registry import make_workload
+    from repro.workloads import Fidelity
+
+    workload = (PERF_CORPUS[name]() if name in PERF_CORPUS
+                else make_workload(name, Fidelity.TEST))
+    card = _RecountingCard(n_sockets=n_sockets, placement=placement)
+    res = card.run_workload(workload, config)
+    assert card.launches == sum(res.per_socket_kernels) > 0
+    counters = res.per_socket_counters[0]
+    assert counters["local_kernel_pages"] + counters["remote_kernel_pages"] > 0
+    if placement.startswith("pinned"):
+        assert counters["local_kernel_pages"] == 0
+
+
+def test_range_split_follows_page_table_epoch():
+    # live host buffers never lose pages and freed virtual ranges are
+    # never reused, so only a direct call can show a stale split
+    from types import SimpleNamespace
+
+    card = ApuCard(n_sockets=2, placement="interleave")
+    adjust = card._make_adjuster(0)
+    rng = card.sockets[0].os_alloc.alloc(4 * PAGE_2M)
+    maps = [SimpleNamespace(buffer=SimpleNamespace(range=rng))]
+
+    def launch():
+        expected = _recount_pages(card, maps, 0)
+        before = (card.local_kernel_pages[0], card.remote_kernel_pages[0])
+        adjust(maps, 10.0)
+        got = (card.local_kernel_pages[0] - before[0],
+               card.remote_kernel_pages[0] - before[1])
+        assert got == expected
+        return got
+
+    assert launch() == launch() == (2, 2)
+    card.sockets[0].os_alloc.free(rng)
+    assert launch() == (0, 0)

@@ -197,6 +197,8 @@ def test_unaligned_page_probe_misses():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_randomized_parity_with_flat_table(seed):
+    # each step also asserts the (install_count, evict_count) stamp moves
+    # exactly when the table's contents do (per-range memos rely on it)
     assert pagetable_parity(seed=seed, rounds=250)
 
 
